@@ -20,10 +20,14 @@
 package tstore
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
+	"slices"
+	"sync"
 	"time"
 
 	"tahoedyn/internal/obs"
@@ -178,14 +182,6 @@ func (d *decoder) bytes(n int) []byte {
 	return s
 }
 
-func (d *decoder) u32() uint32 {
-	b := d.bytes(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
 // count reads an element count and sanity-bounds it against the bytes
 // that remain, so corrupted counts cannot demand absurd allocations:
 // every counted element costs at least one encoded byte.
@@ -210,10 +206,19 @@ const (
 	valTagRaw byte = 1
 )
 
+// chunkEncoder is a Writer's encode scratch, reused from chunk to chunk.
+type chunkEncoder struct {
+	codes []uint32          // per event: its key's index in dict
+	dict  []uint64          // the distinct values, in first-seen order
+	order []uint32          // dict indices in ascending value order
+	rank  []uint32          // dict index → position in ascending order (the code)
+	index map[uint64]uint32 // key → its index in dict
+}
+
 // encodeChunk appends the columnar payload for events to buf and
 // returns it along with the chunk's index entry. Events carry
 // store-level location ids (the writer re-interns before staging).
-func encodeChunk(buf []byte, events []obs.Event) ([]byte, ChunkInfo) {
+func (e *chunkEncoder) encodeChunk(buf []byte, events []obs.Event) ([]byte, ChunkInfo) {
 	info := ChunkInfo{
 		Count:  len(events),
 		MinT:   events[0].T,
@@ -263,8 +268,8 @@ func encodeChunk(buf []byte, events []obs.Event) ([]byte, ChunkInfo) {
 	// distinct values) followed by one dictionary code per event. A run
 	// touches few distinct locations and connections per chunk, so codes
 	// are almost always one byte.
-	buf = appendDictU64(buf, events, func(ev *obs.Event) uint64 { return uint64(ev.Loc) })
-	buf = appendDictU64(buf, events, func(ev *obs.Event) uint64 { return zigzag(int64(ev.Conn)) })
+	buf = e.appendDict(buf, events, false)
+	buf = e.appendDict(buf, events, true)
 	// Seq, size, id columns.
 	for i := range events {
 		buf = binary.AppendUvarint(buf, zigzag(int64(events[i].Seq)))
@@ -298,174 +303,456 @@ func encodeChunk(buf []byte, events []obs.Event) ([]byte, ChunkInfo) {
 	return buf, info
 }
 
-// appendDictU64 writes one dictionary-encoded column: the sorted
-// distinct mapped values, then one code per event.
-func appendDictU64(buf []byte, events []obs.Event, key func(*obs.Event) uint64) []byte {
-	// Distinct values, insertion-sorted: dictionaries are tiny (types of
-	// locations and connections active within one chunk), so a linear
-	// scan beats a map allocation.
-	var dict []uint64
-	for i := range events {
-		v := key(&events[i])
-		pos := len(dict)
-		for pos > 0 && dict[pos-1] >= v {
-			if dict[pos-1] == v {
-				pos = -1
-				break
-			}
-			pos--
-		}
-		if pos >= 0 {
-			dict = append(dict, 0)
-			copy(dict[pos+1:], dict[pos:])
-			dict[pos] = v
-		}
+// appendDict writes one dictionary-encoded column — the events'
+// locations, or with conn their zigzagged connections: the sorted
+// distinct keys, then each event's key's position among them. One pass
+// over the events builds the lookup — a map from key to first-seen
+// index, with a repeat of the previous key short-circuiting it — and
+// sorting the few distinct keys turns first-seen indices into codes.
+func (e *chunkEncoder) appendDict(buf []byte, events []obs.Event, conn bool) []byte {
+	if e.index == nil {
+		e.index = map[uint64]uint32{}
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(dict)))
-	for _, v := range dict {
-		buf = binary.AppendUvarint(buf, v)
+	clear(e.index)
+	e.dict = e.dict[:0]
+	if cap(e.codes) < len(events) {
+		e.codes = make([]uint32, len(events))
 	}
+	codes := e.codes[:len(events)]
+	var last uint64
+	lastIdx := uint32(math.MaxUint32) // no previous key
 	for i := range events {
-		v := key(&events[i])
-		lo, hi := 0, len(dict)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if dict[mid] < v {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
+		k := uint64(events[i].Loc)
+		if conn {
+			k = zigzag(int64(events[i].Conn))
 		}
-		buf = binary.AppendUvarint(buf, uint64(lo))
+		if k != last || lastIdx == math.MaxUint32 {
+			last, lastIdx = k, e.lookup(k)
+		}
+		codes[i] = lastIdx
+	}
+
+	d := len(e.dict)
+	if cap(e.order) < d {
+		e.order = make([]uint32, d)
+		e.rank = make([]uint32, d)
+	}
+	order, rank := e.order[:d], e.rank[:d]
+	for i := range order {
+		order[i] = uint32(i)
+	}
+	slices.SortFunc(order, func(a, b uint32) int { return cmp.Compare(e.dict[a], e.dict[b]) })
+	buf = binary.AppendUvarint(buf, uint64(d))
+	for j, idx := range order {
+		buf = binary.AppendUvarint(buf, e.dict[idx])
+		rank[idx] = uint32(j)
+	}
+	for _, c := range codes {
+		buf = binary.AppendUvarint(buf, uint64(rank[c]))
 	}
 	return buf
 }
 
-// decodeChunk parses one chunk payload into dst (reused across chunks;
-// grown as needed) and returns the events. Every field is validated:
-// malformed payloads error, never panic, and never allocate beyond the
-// declared payload's plausible event count.
-func decodeChunk(payload []byte, dst []obs.Event, nLocs int) ([]obs.Event, error) {
-	d := &decoder{b: payload}
-	n := d.count("event")
-	if d.err != nil {
-		return nil, d.err
+// lookup returns k's index in e.dict, appending it if new.
+func (e *chunkEncoder) lookup(k uint64) uint32 {
+	if idx, ok := e.index[k]; ok {
+		return idx
 	}
-	if n == 0 {
-		return nil, fmt.Errorf("tstore: empty chunk")
+	idx := uint32(len(e.dict))
+	e.dict = append(e.dict, k)
+	e.index[k] = idx
+	return idx
+}
+
+// colMask selects the event fields a chunk decode materializes. A
+// query asks only for the columns its predicate and its fold read; the
+// other columns are still walked and validated, just not written into
+// the events, so a projected decode errors on exactly the payloads a
+// full one does.
+type colMask uint16
+
+const (
+	colT colMask = 1 << iota
+	colType
+	colKind
+	colLoc
+	colConn
+	colSeq
+	colSize
+	colID
+	colVal
+
+	colAll = colT | colType | colKind | colLoc | colConn | colSeq | colSize | colID | colVal
+)
+
+// minEventBytes is the smallest encoding of one event: a byte in each
+// of the eight per-event columns plus one value byte. A chunk claiming
+// more events than payload/minEventBytes is corrupt, and is rejected
+// before anything is allocated for it.
+const minEventBytes = 9
+
+// uvarintSlow decodes the varint at b[off:] and returns it with the
+// offset just past it, or -1 when the encoding is truncated or overlong
+// — exactly the cases binary.Uvarint reports with n <= 0.
+func uvarintSlow(b []byte, off int) (uint64, int) {
+	if uint(off) >= uint(len(b)) {
+		return 0, -1
 	}
-	if cap(dst) < n {
-		dst = make([]obs.Event, n)
+	v, n := binary.Uvarint(b[off:])
+	if n <= 0 {
+		return 0, -1
 	}
-	dst = dst[:n]
-	prev := int64(0)
-	for i := range dst {
-		prev += d.varint()
-		dst[i].T = time.Duration(prev)
-	}
-	for i := range dst {
-		b := d.bytes(1)
-		if d.err != nil {
-			return nil, d.err
+	return v, off + n
+}
+
+const contBits = 0x8080808080808080
+
+// readUvarints decodes len(vals) consecutive varints from off into
+// vals and returns the offset past them, or -(o+1) for a bad varint at
+// o. Wherever eight bytes remain it decodes from one little-endian
+// word: with no continuation bit set the word is eight one-byte
+// varints; otherwise a varint of at most eight bytes ends at the word's
+// first byte with its top bit clear, and its 7-bit groups are packed
+// together in three mask-and-shift steps. Longer varints and the
+// payload's last bytes take binary.Uvarint's path, so acceptance is
+// exactly its.
+func readUvarints(p []byte, off int, vals []uint64) int {
+	for i := 0; i < len(vals); i++ {
+		if off+8 <= len(p) {
+			w := binary.LittleEndian.Uint64(p[off:])
+			if w&contBits == 0 && i+8 <= len(vals) {
+				// Eight one-byte varints.
+				v := vals[i : i+8]
+				v[0], v[1], v[2], v[3] = w&0xff, w>>8&0xff, w>>16&0xff, w>>24&0xff
+				v[4], v[5], v[6], v[7] = w>>32&0xff, w>>40&0xff, w>>48&0xff, w>>56
+				i += 7
+				off += 8
+				continue
+			}
+			if m := ^w & contBits; m != 0 {
+				nb := bits.TrailingZeros64(m) + 1 // bits through the last byte
+				x := w & (1<<nb - 1) &^ contBits
+				x = x&0x007f007f007f007f | x&0x7f007f007f007f00>>1
+				x = x&0x00003fff00003fff | x&0x3fff00003fff0000>>2
+				vals[i] = x&0x000000000fffffff | x&0x0fffffff00000000>>4
+				off += nb >> 3
+				continue
+			}
 		}
-		if b[0] >= byte(obs.NumTypes) {
-			return nil, fmt.Errorf("tstore: unknown event type %d in chunk", b[0])
+		o := off
+		if vals[i], off = uvarintSlow(p, off); off < 0 {
+			return -o - 1
 		}
-		dst[i].Type = obs.Type(b[0])
 	}
-	for i := range dst {
-		b := d.bytes(1)
-		if d.err != nil {
-			return nil, d.err
+	return off
+}
+
+// skipUvarints walks n varints from off without decoding them,
+// validating each as readUvarints does. It returns the offset past
+// them, or -(o+1) for a bad varint at o, and whether any value is odd —
+// a varint's low bit is its first byte's, and an odd zigzag code is a
+// negative number. Whole words are consumed while they end fewer than
+// the remaining varints and no continuation run nears the ten-byte
+// limit; the rest goes varint by varint.
+func skipUvarints(p []byte, off, n int) (int, bool) {
+	var (
+		odd   uint64
+		run   int           // continuation bytes since the last terminator
+		start uint64 = 0x01 // the word's first byte starts a varint
+	)
+	for off+8 <= len(p) {
+		w := binary.LittleEndian.Uint64(p[off:])
+		m := ^w & contBits
+		k := bits.OnesCount64(m)
+		if k >= n {
+			break
 		}
-		dst[i].Kind = packet.Kind(b[0])
+		if m == 0 {
+			if run+8 > 9 {
+				break
+			}
+			run += 8
+		} else {
+			if run+bits.TrailingZeros64(m)>>3 >= 9 {
+				break
+			}
+			run = bits.LeadingZeros64(m) >> 3
+		}
+		// A terminator's bit 7, shifted up one, lands on bit 0 of the
+		// byte after it: the first byte of the next varint.
+		odd |= w & (m<<1 | start)
+		start = m >> 63
+		off += 8
+		n -= k
 	}
-	// Location dictionary + codes.
-	locDict, err := readDict(d, "location")
-	if err != nil {
+	off -= run // back to the start of the varint in progress
+	for ; n > 0; n-- {
+		if uint(off) >= uint(len(p)) {
+			return -off - 1, false
+		}
+		odd |= uint64(p[off] & 1)
+		if p[off] < 0x80 {
+			off++
+			continue
+		}
+		o := off
+		if _, off = uvarintSlow(p, off); off < 0 {
+			return -o - 1, false
+		}
+	}
+	return off, odd != 0
+}
+
+func errVarint(off int) error {
+	return fmt.Errorf("truncated or overlong varint at offset %d", off)
+}
+
+func errTruncated(off, want, have int) error {
+	return fmt.Errorf("truncated field at offset %d (want %d bytes, have %d)", off, want, have)
+}
+
+// chunkDecoder is one scan's decode scratch — the raw payload, the
+// events of the current chunk, one column of raw varints and a
+// dictionary — reused from chunk to chunk. A scan takes one from
+// decoderPool and returns it when done, so no two scans share one
+// (a Store serves concurrent scans) while back-to-back queries reuse
+// the same buffers instead of each allocating a chunk's worth.
+type chunkDecoder struct {
+	payload []byte
+	events  []obs.Event
+	vals    []uint64
+	dict    []uint64
+	// timed reports whether the last decode set the events' times.
+	timed bool
+}
+
+var decoderPool = sync.Pool{New: func() any { return new(chunkDecoder) }}
+
+// skipCol validates the n-varint column at off without decoding it,
+// also reporting whether any value is odd (see skipUvarints).
+func skipCol(p []byte, off, n int) (int, bool, error) {
+	off, odd := skipUvarints(p, off, n)
+	if off < 0 {
+		return 0, false, errVarint(-off - 1)
+	}
+	return off, odd, nil
+}
+
+// varintCol decodes the n-varint column at off into d.vals when want
+// is set, and otherwise only validates it.
+func (d *chunkDecoder) varintCol(p []byte, off, n int, want bool) (int, error) {
+	if !want {
+		off, _, err := skipCol(p, off, n)
+		return off, err
+	}
+	if off = readUvarints(p, off, d.vals[:n]); off < 0 {
+		return 0, errVarint(-off - 1)
+	}
+	return off, nil
+}
+
+// decode parses one chunk payload holding count events (the index
+// entry's figure) and returns them with the cols fields set; the other
+// fields hold whatever the scratch held before. Every column is
+// validated whatever cols says: varints are well-formed, types are
+// known, dictionary codes and location ids (below nLocs) are in range,
+// the value tag is known, and no bytes trail. Malformed payloads error,
+// never panic, and the event count is checked against count and the
+// payload length before the scratch grows.
+func (d *chunkDecoder) decode(p []byte, nLocs, count int, cols colMask) ([]obs.Event, error) {
+	n64, off := uvarintSlow(p, 0)
+	if off < 0 {
+		return nil, errVarint(0)
+	}
+	if n64 == 0 {
+		return nil, fmt.Errorf("empty chunk")
+	}
+	if n64 != uint64(count) {
+		return nil, fmt.Errorf("chunk holds %d events, index says %d", n64, count)
+	}
+	if n64 > uint64(len(p)/minEventBytes) {
+		return nil, fmt.Errorf("event count %d exceeds what %d payload bytes can hold", n64, len(p))
+	}
+	n := int(n64)
+	if cap(d.events) < n {
+		d.events = make([]obs.Event, n)
+		d.vals = make([]uint64, n)
+	}
+	dst, vals := d.events[:n], d.vals[:n]
+	var err error
+
+	// Time column: zigzag deltas. Left out of cols it is only walked —
+	// unless a delta is negative, since then a time may fall below zero
+	// and fail even the zero Query's lower bound: the column is decoded
+	// after all, and d.timed tells the caller to test times.
+	d.timed = cols&colT != 0
+	if !d.timed {
+		tOff := off
+		if off, d.timed, err = skipCol(p, off, n); err != nil {
+			return nil, err
+		}
+		if d.timed {
+			off = tOff
+		}
+	}
+	if d.timed {
+		if off, err = d.varintCol(p, off, n, true); err != nil {
+			return nil, err
+		}
+		t := int64(0)
+		for i, v := range vals {
+			t += unzigzag(v)
+			dst[i].T = time.Duration(t)
+		}
+	}
+
+	// Type and kind columns: one byte per event.
+	if len(p)-off < 2*n {
+		return nil, errTruncated(off, 2*n, len(p)-off)
+	}
+	for i, b := range p[off : off+n] {
+		if b >= byte(obs.NumTypes) {
+			return nil, fmt.Errorf("unknown event type %d in chunk", b)
+		}
+		if cols&colType != 0 {
+			dst[i].Type = obs.Type(b)
+		}
+	}
+	off += n
+	if cols&colKind != 0 {
+		for i, b := range p[off : off+n] {
+			dst[i].Kind = packet.Kind(b)
+		}
+	}
+	off += n
+
+	// Location dictionary + codes. Ids at or above limit are invalid;
+	// an unused invalid entry is harmless, a referenced one is not.
+	if off, err = d.readDict(p, off, "location"); err != nil {
 		return nil, err
 	}
-	for i := range dst {
-		c := d.uvarint()
-		if d.err != nil {
-			return nil, d.err
-		}
-		if c >= uint64(len(locDict)) {
-			return nil, fmt.Errorf("tstore: location code %d out of range [0,%d)", c, len(locDict))
-		}
-		id := locDict[c]
-		if id > math.MaxUint16 || (nLocs >= 0 && id >= uint64(nLocs)) {
-			return nil, fmt.Errorf("tstore: location id %d out of range [0,%d)", id, nLocs)
-		}
-		dst[i].Loc = obs.Loc(id)
+	if off, err = d.varintCol(p, off, n, true); err != nil {
+		return nil, err
 	}
+	limit := uint64(math.MaxUint16) + 1
+	if nLocs >= 0 && uint64(nLocs) < limit {
+		limit = uint64(nLocs)
+	}
+	dict := d.dict
+	for i, c := range vals {
+		if c >= uint64(len(dict)) {
+			return nil, fmt.Errorf("location code %d out of range [0,%d)", c, len(dict))
+		}
+		id := dict[c]
+		if id >= limit {
+			return nil, fmt.Errorf("location id %d out of range [0,%d)", id, nLocs)
+		}
+		if cols&colLoc != 0 {
+			dst[i].Loc = obs.Loc(id)
+		}
+	}
+
 	// Connection dictionary + codes.
-	connDict, err := readDict(d, "connection")
-	if err != nil {
+	if off, err = d.readDict(p, off, "connection"); err != nil {
 		return nil, err
 	}
-	for i := range dst {
-		c := d.uvarint()
-		if d.err != nil {
-			return nil, d.err
+	if off, err = d.varintCol(p, off, n, true); err != nil {
+		return nil, err
+	}
+	dict = d.dict
+	for i, c := range vals {
+		if c >= uint64(len(dict)) {
+			return nil, fmt.Errorf("connection code %d out of range [0,%d)", c, len(dict))
 		}
-		if c >= uint64(len(connDict)) {
-			return nil, fmt.Errorf("tstore: connection code %d out of range [0,%d)", c, len(connDict))
+		if cols&colConn != 0 {
+			dst[i].Conn = int32(unzigzag(dict[c]))
 		}
-		dst[i].Conn = int32(unzigzag(connDict[c]))
 	}
-	for i := range dst {
-		dst[i].Seq = int32(d.varint())
+
+	// Seq, size and id columns.
+	if off, err = d.varintCol(p, off, n, cols&colSeq != 0); err != nil {
+		return nil, err
 	}
-	for i := range dst {
-		dst[i].Size = int32(d.varint())
+	if cols&colSeq != 0 {
+		for i, v := range vals {
+			dst[i].Seq = int32(unzigzag(v))
+		}
 	}
-	for i := range dst {
-		dst[i].ID = d.uvarint()
+	if off, err = d.varintCol(p, off, n, cols&colSize != 0); err != nil {
+		return nil, err
 	}
-	tag := d.bytes(1)
-	if d.err != nil {
-		return nil, d.err
+	if cols&colSize != 0 {
+		for i, v := range vals {
+			dst[i].Size = int32(unzigzag(v))
+		}
 	}
-	switch tag[0] {
+	if off, err = d.varintCol(p, off, n, cols&colID != 0); err != nil {
+		return nil, err
+	}
+	if cols&colID != 0 {
+		for i, v := range vals {
+			dst[i].ID = v
+		}
+	}
+
+	// Value column behind its tag.
+	if off >= len(p) {
+		return nil, errTruncated(off, 1, 0)
+	}
+	tag := p[off]
+	off++
+	switch tag {
 	case valTagInt:
-		for i := range dst {
-			dst[i].Val = float64(d.varint())
+		if off, err = d.varintCol(p, off, n, cols&colVal != 0); err != nil {
+			return nil, err
+		}
+		if cols&colVal != 0 {
+			for i, v := range vals {
+				dst[i].Val = float64(unzigzag(v))
+			}
 		}
 	case valTagRaw:
-		for i := range dst {
-			b := d.bytes(8)
-			if d.err != nil {
-				return nil, d.err
-			}
-			dst[i].Val = math.Float64frombits(binary.LittleEndian.Uint64(b))
+		if len(p)-off < 8*n {
+			return nil, errTruncated(off, 8*n, len(p)-off)
 		}
+		if cols&colVal != 0 {
+			raw := p[off : off+8*n]
+			for i := range dst {
+				dst[i].Val = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+			}
+		}
+		off += 8 * n
 	default:
-		return nil, fmt.Errorf("tstore: unknown value-column tag %d", tag[0])
+		return nil, fmt.Errorf("unknown value-column tag %d", tag)
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(payload) {
-		return nil, fmt.Errorf("tstore: %d trailing bytes after chunk payload", len(payload)-d.off)
+	if off != len(p) {
+		return nil, fmt.Errorf("%d trailing bytes after chunk payload", len(p)-off)
 	}
 	return dst, nil
 }
 
-// readDict reads one dictionary prefix: a count, then the values.
-func readDict(d *decoder, what string) ([]uint64, error) {
-	n := d.count(what + " dictionary")
-	if d.err != nil {
-		return nil, d.err
+// readDict reads one dictionary prefix — a count, then the values —
+// into d.dict and returns the offset past it.
+func (d *chunkDecoder) readDict(p []byte, off int, what string) (int, error) {
+	n, o := uvarintSlow(p, off)
+	if o < 0 {
+		return 0, errVarint(off)
+	}
+	off = o
+	if n > uint64(len(p)-off) {
+		return 0, fmt.Errorf("%s dictionary count %d exceeds remaining payload (%d bytes)", what, n, len(p)-off)
 	}
 	if n == 0 {
-		return nil, fmt.Errorf("tstore: empty %s dictionary", what)
+		return 0, fmt.Errorf("empty %s dictionary", what)
 	}
-	dict := make([]uint64, n)
-	for i := range dict {
-		dict[i] = d.uvarint()
+	if uint64(cap(d.dict)) < n {
+		d.dict = make([]uint64, n)
 	}
-	return dict, d.err
+	d.dict = d.dict[:n]
+	if o = readUvarints(p, off, d.dict); o < 0 {
+		return 0, errVarint(-o - 1)
+	}
+	return o, nil
 }
 
 // crcFooter is the checksum the trailer carries over the footer bytes.

@@ -160,7 +160,7 @@ func TestHugeTraceStreamsAndQueries(t *testing.T) {
 	t.Logf("drop percentiles over %d drops in %.1fs: p50=%g p90=%g p99=%g, heap %.0f MB",
 		nDrops, time.Since(startP).Seconds(), vals[0], vals[1], vals[2], queryHeap)
 
-	// Bounded memory: both phases must stay far below the 6.4 GB the
+	// Bounded memory: both phases must stay far below the 4.0 GB the
 	// raw events would occupy in RAM.
 	if writeHeap > 256 || queryHeap > 256 {
 		t.Fatalf("heap not bounded: write %.0f MB, query %.0f MB", writeHeap, queryHeap)

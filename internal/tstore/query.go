@@ -47,13 +47,51 @@ func (q Query) locID(locs []string) (int, bool) {
 // match reports whether one event passes the query, with q.Loc already
 // resolved to locID.
 func (q Query) match(ev *obs.Event, locID int) bool {
-	if ev.T < q.From || (q.To > 0 && ev.T >= q.To) {
-		return false
-	}
+	return q.inTime(ev.T) && q.matchFields(ev, locID)
+}
+
+func (q Query) inTime(t time.Duration) bool {
+	return t >= q.From && (q.To <= 0 || t < q.To)
+}
+
+// matchFields is match without the time test.
+func (q Query) matchFields(ev *obs.Event, locID int) bool {
 	if locID >= 0 && int(ev.Loc) != locID {
 		return false
 	}
 	return q.Filter.Match(ev.Type, int(ev.Conn))
+}
+
+// cols returns the columns match reads for q: the event time when q
+// bounds it, and the type, connection and location when q filters on
+// them. An unbounded q still excludes negative times, which the chunk
+// decoder catches without the time column (see chunkDecoder.timed).
+func (q Query) cols() colMask {
+	var cols colMask
+	if q.From != 0 || q.To != 0 {
+		cols |= colT
+	}
+	if q.Filter.Types != 0 {
+		cols |= colType
+	}
+	if q.Filter.Conn != 0 {
+		cols |= colConn
+	}
+	if q.Loc != "" {
+		cols |= colLoc
+	}
+	return cols
+}
+
+// scanCols streams the events matching q through fn. Over a Store only
+// the cols fields (plus those q tests) are decoded; other fields of
+// the events fn sees are unspecified. Other Scanners pass full events.
+func scanCols(sc Scanner, q Query, cols colMask, fn func(*obs.Event) error) error {
+	if s, ok := sc.(*Store); ok {
+		_, err := s.scan(q, cols, fn)
+		return err
+	}
+	return sc.Scan(q, fn)
 }
 
 // Scanner is a streaming event source a query runs over: the on-disk
@@ -109,18 +147,16 @@ func Count(sc Scanner, q Query) (uint64, error) {
 // Count returns the number of events matching q, consulting the index
 // first: chunks the query cannot touch are skipped, chunks the query
 // fully covers contribute their counts without being read, and only
-// boundary chunks are decoded.
+// boundary chunks are decoded — only the columns q tests, at that.
 func (s *Store) Count(q Query) (uint64, error) {
 	locID, ok := q.locID(s.locs)
 	if !ok {
 		return 0, nil
 	}
-	var (
-		n       uint64
-		payload []byte
-		events  []obs.Event
-		err     error
-	)
+	var n uint64
+	cols := q.cols()
+	d := decoderPool.Get().(*chunkDecoder)
+	defer decoderPool.Put(d)
 	for i := range s.index {
 		c := &s.index[i]
 		if !c.overlaps(q, locID) {
@@ -133,12 +169,14 @@ func (s *Store) Count(q Query) (uint64, error) {
 			n += uint64(c.Count)
 			continue
 		}
-		payload, events, err = s.readChunk(c, payload, events)
+		events, err := s.readChunk(d, c, cols)
 		if err != nil {
 			return n, err
 		}
+		timed := d.timed
 		for j := range events {
-			if q.match(&events[j], locID) {
+			ev := &events[j]
+			if (!timed || q.inTime(ev.T)) && q.matchFields(ev, locID) {
 				n++
 			}
 		}
@@ -191,21 +229,50 @@ func Windowed(sc Scanner, q Query, o WindowOptions) (map[string][]WindowStat, er
 		return nil, fmt.Errorf("tstore: window width must be positive (got %v)", o.Width)
 	}
 	locs := sc.Locs()
-	out := map[string][]WindowStat{}
-	err := sc.Scan(q, func(ev *obs.Event) error {
-		key := ""
+	cols := colT | colSize | colVal
+	// Series live in a slice indexed by group; with ByLoc, groupOf maps
+	// a loc id to its group plus one (0: not seen yet), and names the
+	// group by location name, so ids sharing a name share a series.
+	var (
+		groups  [][]WindowStat
+		names   []string
+		groupOf []int32
+		byName  map[string]int32
+	)
+	if o.ByLoc {
+		cols |= colLoc
+		byName = map[string]int32{}
+	} else {
+		groups, names = make([][]WindowStat, 1), []string{""}
+	}
+	err := scanCols(sc, q, cols, func(ev *obs.Event) error {
+		g := int32(0)
 		if o.ByLoc {
-			if int(ev.Loc) < len(locs) {
-				key = locs[ev.Loc]
-			} else {
-				key = fmt.Sprintf("loc%d", ev.Loc)
+			if int(ev.Loc) >= len(groupOf) {
+				groupOf = append(groupOf, make([]int32, int(ev.Loc)+1-len(groupOf))...)
 			}
+			if groupOf[ev.Loc] == 0 {
+				key := fmt.Sprintf("loc%d", ev.Loc)
+				if int(ev.Loc) < len(locs) {
+					key = locs[ev.Loc]
+				}
+				gi, ok := byName[key]
+				if !ok {
+					gi = int32(len(groups))
+					byName[key] = gi
+					groups = append(groups, nil)
+					names = append(names, key)
+				}
+				groupOf[ev.Loc] = gi + 1
+			}
+			g = groupOf[ev.Loc] - 1
 		}
 		idx := int((ev.T - q.From) / o.Width)
-		series := out[key]
+		series := groups[g]
 		for len(series) <= idx {
 			series = append(series, WindowStat{Start: q.From + time.Duration(len(series))*o.Width})
 		}
+		groups[g] = series
 		w := &series[idx]
 		if w.Count == 0 {
 			w.Min, w.Max = ev.Val, ev.Val
@@ -220,11 +287,16 @@ func Windowed(sc Scanner, q Query, o WindowOptions) (map[string][]WindowStat, er
 		w.Count++
 		w.Bytes += int64(ev.Size)
 		w.Sum += ev.Val
-		out[key] = series
 		return nil
 	})
 	if err != nil {
 		return nil, err
+	}
+	out := make(map[string][]WindowStat, len(groups))
+	for g, series := range groups {
+		if series != nil {
+			out[names[g]] = series
+		}
 	}
 	return out, nil
 }
@@ -252,7 +324,7 @@ func Quantiles(sc Scanner, q Query, probs []float64) ([]float64, uint64, error) 
 		est   []*p2sketch
 		n     uint64
 	)
-	err := sc.Scan(q, func(ev *obs.Event) error {
+	err := scanCols(sc, q, colVal, func(ev *obs.Event) error {
 		n++
 		if est == nil {
 			exact = append(exact, ev.Val)

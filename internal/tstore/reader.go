@@ -181,25 +181,26 @@ func (s *Store) LocID(name string) int {
 // non-nil error from fn aborts the scan and is returned; ErrStop
 // aborts and returns nil.
 func (s *Store) Scan(q Query, fn func(*obs.Event) error) error {
-	_, err := s.scan(q, fn)
+	_, err := s.scan(q, colAll, fn)
 	return err
 }
 
 // ScanStats is Scan, also reporting how many chunks the index skipped
 // — the chunk-skip ratio is skipped/len(Chunks()).
 func (s *Store) ScanStats(q Query, fn func(*obs.Event) error) (skipped int, err error) {
-	return s.scan(q, fn)
+	return s.scan(q, colAll, fn)
 }
 
-func (s *Store) scan(q Query, fn func(*obs.Event) error) (skipped int, err error) {
+// scan streams the events matching q through fn with the cols fields
+// (plus those q itself tests) decoded; see colMask.
+func (s *Store) scan(q Query, cols colMask, fn func(*obs.Event) error) (skipped int, err error) {
 	locID, ok := q.locID(s.locs)
 	if !ok {
 		return len(s.index), nil
 	}
-	var (
-		payload []byte
-		events  []obs.Event
-	)
+	cols |= q.cols()
+	d := decoderPool.Get().(*chunkDecoder)
+	defer decoderPool.Put(d)
 	for i := range s.index {
 		c := &s.index[i]
 		if !c.overlaps(q, locID) {
@@ -210,13 +211,14 @@ func (s *Store) scan(q Query, fn func(*obs.Event) error) (skipped int, err error
 			}
 			continue
 		}
-		payload, events, err = s.readChunk(c, payload, events)
+		events, err := s.readChunk(d, c, cols)
 		if err != nil {
 			return skipped, err
 		}
+		timed := d.timed
 		for j := range events {
 			ev := &events[j]
-			if !q.match(ev, locID) {
+			if timed && !q.inTime(ev.T) || !q.matchFields(ev, locID) {
 				continue
 			}
 			if err := fn(ev); err != nil {
@@ -230,24 +232,22 @@ func (s *Store) scan(q Query, fn func(*obs.Event) error) (skipped int, err error
 	return skipped, nil
 }
 
-// readChunk reads and decodes one chunk, reusing the caller's buffers.
-func (s *Store) readChunk(c *ChunkInfo, payload []byte, events []obs.Event) ([]byte, []obs.Event, error) {
-	if cap(payload) < int(c.Size)+4 {
-		payload = make([]byte, c.Size+4)
+// readChunk reads one chunk into d's payload buffer and decodes its
+// cols columns into d's event scratch.
+func (s *Store) readChunk(d *chunkDecoder, c *ChunkInfo, cols colMask) ([]obs.Event, error) {
+	if cap(d.payload) < int(c.Size)+4 {
+		d.payload = make([]byte, c.Size+4)
 	}
-	payload = payload[:c.Size+4]
+	payload := d.payload[:c.Size+4]
 	if _, err := s.r.ReadAt(payload, c.Offset); err != nil {
-		return payload, events, fmt.Errorf("tstore: reading chunk at %d: %w", c.Offset, err)
+		return nil, fmt.Errorf("tstore: reading chunk at %d: %w", c.Offset, err)
 	}
 	if got := int64(binary.LittleEndian.Uint32(payload[:4])); got != c.Size {
-		return payload, events, fmt.Errorf("tstore: chunk at %d declares %d payload bytes, index says %d", c.Offset, got, c.Size)
+		return nil, fmt.Errorf("tstore: chunk at %d declares %d payload bytes, index says %d", c.Offset, got, c.Size)
 	}
-	evs, err := decodeChunk(payload[4:], events, len(s.locs))
+	events, err := d.decode(payload[4:], len(s.locs), c.Count, cols)
 	if err != nil {
-		return payload, events, err
+		return nil, fmt.Errorf("tstore: chunk at %d: %w", c.Offset, err)
 	}
-	if len(evs) != c.Count {
-		return payload, evs, fmt.Errorf("tstore: chunk at %d holds %d events, index says %d", c.Offset, len(evs), c.Count)
-	}
-	return payload, evs, nil
+	return events, nil
 }

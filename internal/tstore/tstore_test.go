@@ -2,7 +2,12 @@ package tstore
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -488,7 +493,7 @@ func TestOnlineCheckerForwardsAndFlags(t *testing.T) {
 
 func TestStoreRejectsCorruption(t *testing.T) {
 	locs, events := synthTrace(4000, 2, 4, 10)
-	_, raw := buildStore(t, locs, events, 256)
+	pristine, raw := buildStore(t, locs, events, 256)
 
 	t.Run("truncated", func(t *testing.T) {
 		for _, cut := range []int{0, 1, headerSize - 1, headerSize, len(raw) / 2, len(raw) - 1} {
@@ -513,19 +518,114 @@ func TestStoreRejectsCorruption(t *testing.T) {
 		}
 	})
 	t.Run("chunk-bitflip", func(t *testing.T) {
-		// Flip bytes inside chunk payloads: opening may succeed (the
-		// footer is intact) but scanning must error, never panic.
+		// Flip bytes inside chunk payloads. The footer is intact, so the
+		// store opens; a flip may or may not leave a decodable chunk.
+		// Either way each projected query must agree with a full Scan
+		// over the same chunks: an error exactly when the Scan errors,
+		// otherwise the answer a fold over the Scan's events gives.
+		type flip struct {
+			off  int
+			mask byte
+		}
+		var flips []flip
 		for off := headerSize + 4; off < len(raw)/2; off += 97 {
+			flips = append(flips, flip{off, 0xa5})
+		}
+		// Each chunk's first time delta follows its two-byte count;
+		// flipping its low bit turns it negative, and with it every time
+		// in the chunk.
+		for _, c := range pristine.Chunks() {
+			flips = append(flips, flip{int(c.Offset) + 4 + 2, 0x01})
+		}
+		flipped, failed, negative := 0, 0, 0
+		for _, f := range flips {
 			b := append([]byte(nil), raw...)
-			b[off] ^= 0xa5
+			b[f.off] ^= f.mask
 			s, err := NewStore(bytes.NewReader(b), int64(len(b)))
 			if err != nil {
-				continue
+				t.Fatalf("flip at %d: footer rejected: %v", f.off, err)
 			}
-			scanErr := s.Scan(Query{}, func(*obs.Event) error { return nil })
-			_ = scanErr // a bitflip inside value payload bytes can decode; no-crash is the contract
+			flipped++
+			if checkProjectedQueries(t, s, f.off) {
+				failed++
+			}
+			s.Scan(Query{From: math.MinInt64}, func(ev *obs.Event) error {
+				if ev.T < 0 {
+					negative++
+					return ErrStop
+				}
+				return nil
+			})
+		}
+		// The flips must exercise both outcomes, and the decode of
+		// negative times that the zero Query's lower bound excludes.
+		if failed == 0 || failed == flipped || negative == 0 {
+			t.Fatalf("%d flipped stores: %d failed to scan, %d held negative times", flipped, failed, negative)
 		}
 	})
+}
+
+// checkProjectedQueries runs typed Count, Windowed and Quantiles over s
+// and checks each against a full Scan of the same query and a fold over
+// its events, reporting whether the Scan failed.
+func checkProjectedQueries(t *testing.T, s *Store, flip int) (scanFailed bool) {
+	t.Helper()
+	scan := func(q Query) ([]obs.Event, error) {
+		var evs []obs.Event
+		err := s.Scan(q, func(ev *obs.Event) error {
+			evs = append(evs, *ev)
+			return nil
+		})
+		return evs, err
+	}
+	agree := func(what string, err, scanErr error) bool {
+		t.Helper()
+		if (err == nil) != (scanErr == nil) {
+			t.Fatalf("flip at %d: %s error %v, full Scan error %v", flip, what, err, scanErr)
+		}
+		return err == nil
+	}
+
+	for _, q := range []Query{
+		{Filter: obs.Filter{Types: 1 << obs.Drop}},
+		{Filter: obs.Filter{Types: 1<<obs.Transmit | 1<<obs.Enqueue, Conn: 2}, Loc: "portB"},
+		{From: 100 * time.Millisecond, Filter: obs.Filter{Types: 1 << obs.Dequeue}},
+	} {
+		for i := range s.index {
+			if s.index[i].covered(q, 1) {
+				t.Fatalf("query %+v covers chunk %d: Count would not read it", q, i)
+			}
+		}
+		evs, scanErr := scan(q)
+		n, err := s.Count(q)
+		if agree("Count", err, scanErr) && n != uint64(len(evs)) {
+			t.Fatalf("flip at %d: Count(%+v) = %d, full Scan holds %d", flip, q, n, len(evs))
+		}
+		scanFailed = scanFailed || scanErr != nil
+	}
+
+	q := Query{Filter: obs.Filter{Types: 1 << obs.Transmit}}
+	o := WindowOptions{Width: 50 * time.Millisecond, ByLoc: true}
+	evs, scanErr := scan(q)
+	got, err := Windowed(s, q, o)
+	if agree("Windowed", err, scanErr) {
+		want, _ := Windowed(&SliceSource{LocTable: s.Locs(), Events: evs}, q, o)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("flip at %d: projected Windowed differs from the fold over Scan", flip)
+		}
+	}
+
+	q = Query{Filter: obs.Filter{Types: 1 << obs.Enqueue}}
+	probs := []float64{0.1, 0.5, 0.99}
+	evs, scanErr = scan(q)
+	gotQ, gotN, err := Quantiles(s, q, probs)
+	if agree("Quantiles", err, scanErr) {
+		wantQ, wantN, _ := Quantiles(&SliceSource{LocTable: s.Locs(), Events: evs}, q, probs)
+		if gotN != wantN || !reflect.DeepEqual(gotQ, wantQ) {
+			t.Fatalf("flip at %d: Quantiles %v (n=%d), fold over Scan %v (n=%d)", flip, gotQ, gotN, wantQ, wantN)
+		}
+	}
+	return scanFailed || scanErr != nil
 }
 
 func TestWriterLocReinterning(t *testing.T) {
@@ -571,4 +671,137 @@ func TestWriterLocReinterning(t *testing.T) {
 	if n, err := Count(s, Query{Loc: "b"}); err != nil || n != 2 {
 		t.Fatalf("Count(loc=b) = %d, %v; want 2", n, err)
 	}
+}
+
+// craftStore wraps one hand-made chunk payload in a valid store whose
+// index entry is info (offset and size filled in), with one location.
+func craftStore(t *testing.T, payload []byte, info ChunkInfo) *Store {
+	t.Helper()
+	var buf bytes.Buffer
+	w := NewWriter(&buf, WriterOptions{})
+	if err := w.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	w.intern("x")
+	info.Offset, info.Size = w.off, int64(len(payload))
+	var lenw [4]byte
+	binary.LittleEndian.PutUint32(lenw[:], uint32(len(payload)))
+	w.write(lenw[:])
+	w.write(payload)
+	w.index = append(w.index, info)
+	w.total = uint64(info.Count)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewStore(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	if err != nil {
+		t.Fatalf("NewStore: %v", err)
+	}
+	return s
+}
+
+// A corrupt chunk may claim up to one event per payload byte. The
+// decoder must refuse it — against the index count and against the
+// nine bytes an event needs at least — before sizing its event buffer,
+// which would otherwise cost 40 B of heap per payload byte.
+func TestHostileChunkCountIsRejectedBeforeAllocating(t *testing.T) {
+	const size = 1 << 20
+	payload := make([]byte, size) // zero bytes: valid one-byte varints
+	claim := size / 2
+	binary.PutUvarint(payload, uint64(claim))
+	for _, count := range []int{claim, 1} {
+		s := craftStore(t, payload, ChunkInfo{Count: count, MaxT: time.Hour, TypeMask: 1<<obs.NumTypes - 1})
+		for name, query := range map[string]func() error{
+			"Scan": func() error { return s.Scan(Query{}, func(*obs.Event) error { return nil }) },
+			"Count": func() error {
+				_, err := s.Count(Query{Filter: obs.Filter{Types: 1 << obs.Drop}})
+				return err
+			},
+		} {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			err := query()
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatalf("index count %d: %s accepted a chunk claiming %d events in %d bytes", count, name, claim, size)
+			}
+			// The payload buffer itself is the only large allocation.
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 2*size {
+				t.Errorf("index count %d: %s allocated %d bytes before rejecting (%v)", count, name, alloc, err)
+			}
+		}
+	}
+}
+
+// Projected queries skip the time column when the query has no time
+// bounds, yet even the zero Query excludes negative times. A store that
+// holds some — an offline ingest, say — must answer as the in-memory
+// trace does.
+func TestProjectedQueriesExcludeNegativeTimes(t *testing.T) {
+	locs, events := synthTrace(3000, 3, 4, 12)
+	for i := range events {
+		if i%700 < 250 {
+			events[i].T -= 2 * time.Second
+		}
+	}
+	s, _ := buildStore(t, locs, events, 128)
+	src := &SliceSource{LocTable: locs, Events: events}
+	for _, typ := range []obs.Type{obs.Drop, obs.Transmit, obs.Enqueue} {
+		q := Query{Filter: obs.Filter{Types: 1 << typ}}
+		want := uint64(len(bruteMatch(locs, events, q)))
+		if n, err := s.Count(q); err != nil || n != want {
+			t.Fatalf("Count(%v) = %d, %v; want %d", typ, n, err, want)
+		}
+		gotQ, gotN, err := Quantiles(s, q, []float64{0.5, 0.9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantQ, wantN, _ := Quantiles(src, q, []float64{0.5, 0.9})
+		if gotN != wantN || !reflect.DeepEqual(gotQ, wantQ) {
+			t.Fatalf("Quantiles(%v) = %v (n=%d), want %v (n=%d)", typ, gotQ, gotN, wantQ, wantN)
+		}
+	}
+}
+
+// Each scan holds its decode scratch alone, so one Store answers
+// queries from several goroutines at once with the answers it gives
+// one at a time.
+func TestStoreConcurrentQueries(t *testing.T) {
+	locs, events := synthTrace(20000, 4, 8, 13)
+	s, _ := buildStore(t, locs, events, 512)
+	q := Query{Filter: obs.Filter{Types: 1<<obs.Transmit | 1<<obs.Enqueue}}
+	o := WindowOptions{Width: 10 * time.Millisecond, ByLoc: true}
+	probs := []float64{0.5, 0.9}
+	wantN, err := s.Count(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantW, err := Windowed(s, q, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantQ, _, err := Quantiles(s, q, probs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 3; i++ {
+				if n, err := s.Count(q); err != nil || n != wantN {
+					t.Errorf("Count = %d, %v; want %d", n, err, wantN)
+				}
+				if w, err := Windowed(s, q, o); err != nil || !reflect.DeepEqual(w, wantW) {
+					t.Errorf("Windowed differs (err %v)", err)
+				}
+				if qs, _, err := Quantiles(s, q, probs); err != nil || !reflect.DeepEqual(qs, wantQ) {
+					t.Errorf("Quantiles = %v, %v; want %v", qs, err, wantQ)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -46,6 +46,7 @@ type Writer struct {
 	remapFor []string
 
 	pending []obs.Event
+	enc     chunkEncoder
 	buf     []byte
 	index   []ChunkInfo
 	total   uint64
@@ -167,7 +168,7 @@ func (sw *Writer) flushChunk() error {
 		return nil
 	}
 	var info ChunkInfo
-	sw.buf, info = encodeChunk(sw.buf[:0], sw.pending)
+	sw.buf, info = sw.enc.encodeChunk(sw.buf[:0], sw.pending)
 	info.Offset = sw.off
 	info.Size = int64(len(sw.buf))
 	var lenw [4]byte
